@@ -108,13 +108,8 @@ impl DaemonMultiAppLoop {
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
             workers,
             channel_capacity: CHANNEL_CAPACITY,
-            window_size: BEATS_PER_QUANTUM,
-            inline_apps: DaemonConfig::DEFAULT_INLINE_APPS,
-            idle_skip_limit: 0,
-            drain_cap: 0,
             telemetry,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .expect("valid daemon config");
         let apps = (0..app_count)
@@ -199,13 +194,7 @@ impl ShmMultiAppLoop {
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
             workers,
             channel_capacity: CHANNEL_CAPACITY,
-            window_size: BEATS_PER_QUANTUM,
-            inline_apps: DaemonConfig::DEFAULT_INLINE_APPS,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .expect("valid daemon config");
         let geometry = SegmentGeometry::for_beat_samples(CHANNEL_CAPACITY)?;
@@ -295,13 +284,8 @@ impl IdleFleetLoop {
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
             workers,
             channel_capacity: CHANNEL_CAPACITY,
-            window_size: BEATS_PER_QUANTUM,
-            inline_apps: DaemonConfig::DEFAULT_INLINE_APPS,
             idle_skip_limit,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .expect("valid daemon config");
         let apps = (0..app_count)
@@ -336,13 +320,8 @@ impl NaiveMultiAppLoop {
         let mut daemon = SerialMutexDaemon::new(DaemonConfig {
             workers: 0,
             channel_capacity: CHANNEL_CAPACITY,
-            window_size: BEATS_PER_QUANTUM,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .expect("valid daemon config");
         let apps = (0..app_count)

@@ -37,10 +37,12 @@
 //! are stepped individually, and each maximal run of interior beats is
 //! folded in one pass — [`PowerDialRuntime::advance_in_quantum`] skips the
 //! schedule walk, `SlidingWindow::push_slice` folds the span's latencies.
-//! The result is **bit-identical** to the per-beat walk (which
-//! [`DaemonShard::run_quantum_with`] and [`naive::SerialMutexDaemon`]
-//! preserve); the `daemon_batch_equivalence` suite pins the relationship
-//! under ragged drains, idle-skip, and the drain cap.
+//! The result is **bit-identical** to the per-beat walk, which lives on
+//! only as a test oracle in [`naive`]: [`DaemonShard::run_quantum_with`]
+//! runs the *same* guarded sweep with that per-beat kernel swapped in, and
+//! [`naive::SerialMutexDaemon`] runs it serially behind mutexes. The
+//! `daemon_batch_equivalence` suite pins the relationship under ragged
+//! drains, idle-skip, and the drain cap.
 //!
 //! # Fairness: the per-quantum drain cap
 //!
@@ -77,7 +79,9 @@
 //! shard under a counting allocator to prove it — and a shard whose
 //! scratch buffer was grown by a flood shrinks it back on an amortized
 //! cold path (every [`SHRINK_EPOCH_QUANTA`] quanta) once the flood
-//! subsides. The serial, mutex-guarded baseline the benchmarks compare
+//! subsides. There is one guarded sweep per shard; the only thing
+//! [`DaemonShard::run_quantum_with`] changes is the decision kernel it
+//! runs. The serial, mutex-guarded baseline the benchmarks compare
 //! against is [`naive::SerialMutexDaemon`].
 //!
 //! With `workers: 0` the daemon runs **inline**: no threads are spawned and
@@ -209,14 +213,13 @@ pub struct DaemonConfig {
     /// Telemetry instrumentation (on by default): per-app beat-latency
     /// and QoS-loss histograms recorded on the drain path (allocation-
     /// free; see [`powerdial_heartbeats::telemetry`]) plus a per-shard
-    /// decision trace, exported off the drain path by
-    /// [`PowerDialDaemon::telemetry_snapshot`]. Disable only when the
-    /// last few ns/beat matter more than observability.
+    /// decision trace of [`TRACE_CAPACITY`] records, exported off the
+    /// drain path by [`PowerDialDaemon::telemetry_snapshot`]. Off, every
+    /// shard — inline, worker, or respawned worker — keeps no histograms
+    /// and no trace, and the snapshot reports no apps and no records.
+    /// Disable only when the last few ns/beat matter more than
+    /// observability.
     pub telemetry: bool,
-    /// Capacity, in records, of each shard's [`DecisionTraceRing`].
-    /// Ignored (no ring) when `telemetry` is off; `0` keeps histograms
-    /// but disables tracing.
-    pub trace_capacity: usize,
     /// Knob-table point index published for a quarantined application —
     /// the configured safe state its clients degrade to. The default `0`
     /// is the baseline (speedup 1.0, zero QoS loss) point of every table
@@ -233,19 +236,6 @@ impl DaemonConfig {
     /// Default [`DaemonConfig::inline_apps`]: fleets up to this size never
     /// pay a cross-thread round trip per tick.
     pub const DEFAULT_INLINE_APPS: usize = 4;
-
-    /// Default [`DaemonConfig::trace_capacity`]: a few dozen quanta of
-    /// history per shard at fleet scale, a few KiB of fixed storage.
-    pub const DEFAULT_TRACE_CAPACITY: usize = 256;
-
-    /// A configuration with `workers` worker threads and the default
-    /// channel capacity and window size.
-    pub fn with_workers(workers: usize) -> Self {
-        DaemonConfig {
-            workers,
-            ..DaemonConfig::default()
-        }
-    }
 
     /// Validates the configuration.
     fn validate(&self) -> Result<(), ControlError> {
@@ -275,11 +265,15 @@ impl Default for DaemonConfig {
             idle_skip_limit: 0,
             drain_cap: 0,
             telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
             safe_point: 0,
         }
     }
 }
+
+/// Capacity, in records, of each shard's decision trace when
+/// [`DaemonConfig::telemetry`] is on: a few dozen quanta of history per
+/// shard at fleet scale, a few KiB of fixed storage.
+pub const TRACE_CAPACITY: usize = 256;
 
 /// Why an application was quarantined (the typed `Quarantined { reason }`
 /// state of the fault-containment machine — see the module docs).
@@ -346,6 +340,16 @@ struct AppShared {
 }
 
 impl AppShared {
+    /// The published decision words, in the shm decision block's layout.
+    fn published(&self) -> ShmDecision {
+        ShmDecision {
+            point_idx: self.decision.load(Ordering::Acquire) as u32,
+            gain_bits: self.gain_bits.load(Ordering::Acquire),
+            achieved_speedup_bits: self.achieved_speedup_bits.load(Ordering::Acquire),
+            qos_loss_bits: self.qos_loss_bits.load(Ordering::Acquire),
+        }
+    }
+
     fn latest_point(&self) -> Option<PointIdx> {
         let packed = self.decision.load(Ordering::Acquire);
         if packed >> 32 == 0 {
@@ -602,50 +606,8 @@ struct ControlState {
 /// argued in place.
 #[deny(clippy::arithmetic_side_effects)]
 impl ControlState {
-    /// Processes one batch of drained beats: for each beat, read the
-    /// current windowed rate, step the runtime (decide *before* observing
-    /// the beat's own latency — the same ordering as the single-app serial
-    /// loop, so decision sequences are beat-for-beat identical), then fold
-    /// the latency into the window. Publishes the final decision of the
-    /// batch to the shared atomics.
-    ///
-    /// # Errors
-    ///
-    /// A poisoned latency stream that overflows the window's summed
-    /// nanoseconds surfaces as [`WindowOverflow`]; nothing is published
-    /// for the batch and the caller quarantines the app.
-    fn process_drained(
-        &mut self,
-        id: AppId,
-        samples: &[BeatSample],
-        on_decision: &mut impl FnMut(AppId, IndexedDecision),
-    ) -> Result<u64, WindowOverflow> {
-        if samples.is_empty() {
-            return Ok(0);
-        }
-        let mut last = None;
-        for sample in samples {
-            let observed = self
-                .window
-                .rate()?
-                .map(|r| r.beats_per_second())
-                .or(self.seed_rate);
-            let decision = self.runtime.on_heartbeat_idx(observed);
-            on_decision(id, decision);
-            // The first beat of a stream has no predecessor; its zero
-            // latency is a convention, not an observation (mirrors
-            // `HeartbeatMonitor::try_heartbeat`).
-            if sample.tag.value() != 0 {
-                self.window.push(sample.latency);
-            }
-            last = Some(decision);
-        }
-        let decision = last.expect("non-empty batch");
-        self.publish_batch(decision, samples.len());
-        Ok(samples.len() as u64)
-    }
-
-    /// The batched counterpart of [`ControlState::process_drained`]:
+    /// The batched decision kernel, counterpart of the per-beat oracle
+    /// `ControlState::process_drained` in [`naive`]:
     /// boundary beats (where the runtime consumes an observation and
     /// replans) are stepped individually, and every maximal run of
     /// interior beats is folded in one pass —
@@ -663,7 +625,7 @@ impl ControlState {
     /// # Errors
     ///
     /// [`WindowOverflow`] under the same poisoned-stream condition as
-    /// [`ControlState::process_drained`] — the overflow is only *observed*
+    /// the per-beat oracle — the overflow is only *observed*
     /// at a boundary beat's rate read, so the batched and per-beat paths
     /// blame the same drain (both quarantine within the quantum that
     /// drained the poison).
@@ -729,29 +691,74 @@ impl ControlState {
             .runtime
             .current_schedule()
             .expect("schedule exists after stepping");
-        let qos_loss = schedule.expected_qos_loss(self.runtime.table());
-        // The packed sequence only signals presence/freshness; skip the
-        // masked value 0 on wraparound so `latest_point` stays `Some`.
+        let published = ShmDecision {
+            point_idx: decision.point_idx.as_usize() as u32,
+            gain_bits: decision.gain.to_bits(),
+            achieved_speedup_bits: schedule.achieved_speedup.to_bits(),
+            qos_loss_bits: schedule.expected_qos_loss(self.runtime.table()).to_bits(),
+        };
+        self.publish(published);
+        self.shared
+            .beats_processed
+            .fetch_add(batch_len as u64, Ordering::AcqRel);
+    }
+
+    /// The one writer of the app's published decision: stores the value
+    /// words, then the packed word `(seq & 0xFFFF_FFFF) << 32 | point`
+    /// under a fresh sequence number, which is what makes them fresh. The
+    /// sequence only signals presence/freshness, so the masked value 0
+    /// (which reads as "no decision yet") is skipped on wraparound and
+    /// `latest_point` stays `Some`.
+    fn publish(&mut self, decision: ShmDecision) {
+        let shared = &self.shared;
+        shared
+            .gain_bits
+            .store(decision.gain_bits, Ordering::Release);
+        shared
+            .achieved_speedup_bits
+            .store(decision.achieved_speedup_bits, Ordering::Release);
+        shared
+            .qos_loss_bits
+            .store(decision.qos_loss_bits, Ordering::Release);
         self.decisions = self.decisions.wrapping_add(1);
         if self.decisions & 0xFFFF_FFFF == 0 {
             self.decisions = self.decisions.wrapping_add(1);
         }
-        self.shared
-            .gain_bits
-            .store(decision.gain.to_bits(), Ordering::Release);
-        self.shared
-            .achieved_speedup_bits
-            .store(schedule.achieved_speedup.to_bits(), Ordering::Release);
-        self.shared
-            .qos_loss_bits
-            .store(qos_loss.to_bits(), Ordering::Release);
-        self.shared.decision.store(
-            (self.decisions & 0xFFFF_FFFF) << 32 | u64::from(decision.point_idx.as_usize() as u32),
+        shared.decision.store(
+            (self.decisions & 0xFFFF_FFFF) << 32 | u64::from(decision.point_idx),
             Ordering::Release,
         );
-        self.shared
-            .beats_processed
-            .fetch_add(batch_len as u64, Ordering::AcqRel);
+    }
+}
+
+/// The decision that serves table point `point` verbatim: gain and
+/// achieved speedup are the point's speedup, QoS loss is the point's.
+fn table_decision(table: &KnobTable, point: PointIdx) -> ShmDecision {
+    let speedup = table.speedup_of(point).to_bits();
+    ShmDecision {
+        point_idx: point.as_usize() as u32,
+        gain_bits: speedup,
+        achieved_speedup_bits: speedup,
+        qos_loss_bits: table.point(point).qos_loss.value().to_bits(),
+    }
+}
+
+/// A decision-trace record of `app`'s `decision`.
+fn trace_record(
+    app: AppId,
+    timestamp: Timestamp,
+    reason: TraceReason,
+    decision: ShmDecision,
+) -> DecisionTraceRecord {
+    DecisionTraceRecord {
+        seq: 0,
+        timestamp,
+        app: app.value(),
+        point_idx: decision.point_idx,
+        reason,
+        gain: f64::from_bits(decision.gain_bits),
+        achieved_speedup: f64::from_bits(decision.achieved_speedup_bits),
+        qos_loss: f64::from_bits(decision.qos_loss_bits),
     }
 }
 
@@ -861,40 +868,20 @@ pub struct DaemonShard {
 }
 
 impl DaemonShard {
-    /// Creates an empty shard with default tuning (no idle skipping, no
-    /// drain cap).
-    pub fn new() -> Self {
-        DaemonShard::default()
-    }
-
-    /// Creates an empty shard with the given idle-skip threshold and drain
-    /// cap (see [`DaemonConfig::idle_skip_limit`] and
-    /// [`DaemonConfig::drain_cap`]), without a decision trace.
-    pub fn with_tuning(idle_skip_limit: u32, drain_cap: usize) -> Self {
+    /// Creates an empty shard tuned by `config`: its idle-skip threshold,
+    /// drain cap and quarantine safe point, plus a decision trace of
+    /// [`TRACE_CAPACITY`] records when telemetry is on (none when off).
+    /// The inline shard, every worker shard and every respawned worker
+    /// are built here.
+    pub fn from_config(config: &DaemonConfig) -> Self {
+        let trace_capacity = if config.telemetry { TRACE_CAPACITY } else { 0 };
         DaemonShard {
-            idle_skip_limit,
-            drain_cap,
-            ..DaemonShard::default()
-        }
-    }
-
-    /// [`DaemonShard::with_tuning`] plus a decision-trace ring of
-    /// `trace_capacity` records (see [`DaemonConfig::trace_capacity`]).
-    pub fn with_telemetry(idle_skip_limit: u32, drain_cap: usize, trace_capacity: usize) -> Self {
-        DaemonShard {
-            idle_skip_limit,
-            drain_cap,
+            idle_skip_limit: config.idle_skip_limit,
+            drain_cap: config.drain_cap,
             trace: DecisionTraceRing::with_capacity(trace_capacity),
+            safe_point: config.safe_point,
             ..DaemonShard::default()
         }
-    }
-
-    /// Sets the knob point published for quarantined apps (builder form;
-    /// see [`DaemonConfig::safe_point`]).
-    #[must_use]
-    pub fn with_safe_point(mut self, safe_point: u32) -> Self {
-        self.safe_point = safe_point;
-        self
     }
 
     /// Current capacity of the shard's drain scratch buffer, in beat
@@ -932,19 +919,12 @@ impl DaemonShard {
                     consumer.reset_warm_state();
                 }
                 if let Some(telemetry) = &slot.telemetry {
-                    let shared = &slot.control.shared;
-                    self.trace.push(DecisionTraceRecord {
-                        seq: 0,
-                        timestamp: telemetry.last_beat,
-                        app: slot.id.value(),
-                        point_idx: shared.decision.load(Ordering::Acquire) as u32,
-                        reason: TraceReason::SafeReset,
-                        gain: f64::from_bits(shared.gain_bits.load(Ordering::Acquire)),
-                        achieved_speedup: f64::from_bits(
-                            shared.achieved_speedup_bits.load(Ordering::Acquire),
-                        ),
-                        qos_loss: f64::from_bits(shared.qos_loss_bits.load(Ordering::Acquire)),
-                    });
+                    self.trace.push(trace_record(
+                        slot.id,
+                        telemetry.last_beat,
+                        TraceReason::SafeReset,
+                        slot.control.shared.published(),
+                    ));
                 }
                 true
             }
@@ -983,24 +963,6 @@ impl DaemonShard {
         }
     }
 
-    /// Quarantine state of `id`: `Some(reason)` once the app has been
-    /// quarantined, `None` while healthy (or when the shard does not own
-    /// `id`).
-    pub fn quarantine_reason(&self, id: AppId) -> Option<QuarantineReason> {
-        self.apps
-            .iter()
-            .find(|slot| slot.id == id)
-            .and_then(|slot| slot.quarantined)
-    }
-
-    /// Number of quarantined apps currently parked on this shard.
-    pub fn quarantined_count(&self) -> usize {
-        self.apps
-            .iter()
-            .filter(|slot| slot.quarantined.is_some())
-            .count()
-    }
-
     /// True when this shard owns `id`.
     fn contains(&self, id: AppId) -> bool {
         self.apps.iter().any(|slot| slot.id == id)
@@ -1027,72 +989,46 @@ impl DaemonShard {
         slot.quarantined = Some(reason);
         let table = slot.control.runtime.table();
         let point = PointIdx::new(safe_point.min(table.len().saturating_sub(1) as u32));
-        let speedup = table.speedup_of(point);
-        let qos_loss = table.point(point).qos_loss.value();
-        let shared = &slot.control.shared;
-        shared.gain_bits.store(speedup.to_bits(), Ordering::Release);
-        shared
-            .achieved_speedup_bits
-            .store(speedup.to_bits(), Ordering::Release);
-        shared
-            .qos_loss_bits
-            .store(qos_loss.to_bits(), Ordering::Release);
+        let safe = table_decision(table, point);
         // Publish through the same packed-sequence word as a healthy
         // decision so `latest_point` observers see a *fresh* safe decision
-        // rather than the fault's leftovers (skip the masked value 0, as
-        // `publish_batch` does).
-        slot.control.decisions = slot.control.decisions.wrapping_add(1);
-        if slot.control.decisions & 0xFFFF_FFFF == 0 {
-            slot.control.decisions = slot.control.decisions.wrapping_add(1);
-        }
-        shared.decision.store(
-            (slot.control.decisions & 0xFFFF_FFFF) << 32 | u64::from(point.as_usize() as u32),
-            Ordering::Release,
-        );
-        shared.quarantined.store(reason.code(), Ordering::Release);
+        // rather than the fault's leftovers.
+        slot.control.publish(safe);
+        slot.control
+            .shared
+            .quarantined
+            .store(reason.code(), Ordering::Release);
         if let BeatSource::Shm(consumer) = &slot.consumer {
             // The client reads a *published* safe decision (its ladder
             // serves it as `Published`, not a fallback) within its next
             // decision poll.
-            consumer.publish_decision(ShmDecision {
-                point_idx: point.as_usize() as u32,
-                gain_bits: speedup.to_bits(),
-                achieved_speedup_bits: speedup.to_bits(),
-                qos_loss_bits: qos_loss.to_bits(),
-            });
+            consumer.publish_decision(safe);
             consumer.reset_warm_state();
         }
-        trace.push(DecisionTraceRecord {
-            seq: 0,
-            timestamp: slot
-                .telemetry
-                .as_deref()
-                .map(|t| t.last_beat)
-                .unwrap_or(Timestamp::from_nanos(0)),
-            app: slot.id.value(),
-            point_idx: point.as_usize() as u32,
-            reason: TraceReason::Quarantined,
-            gain: speedup,
-            achieved_speedup: speedup,
-            qos_loss,
-        });
+        let timestamp = slot
+            .telemetry
+            .as_deref()
+            .map_or(Timestamp::from_nanos(0), |t| t.last_beat);
+        trace.push(trace_record(
+            slot.id,
+            timestamp,
+            TraceReason::Quarantined,
+            safe,
+        ));
     }
 
     /// Drains one app's transport, honoring the idle-skip streak and the
-    /// drain cap. Returns `None` when the app was skipped without touching
-    /// its transport, `Some(drained)` otherwise. Shared by the batched and
-    /// per-beat quantum loops so both see identical drains.
+    /// drain cap, and returns the beats drained. The sweep has already
+    /// skipped a slot whose countdown is running, so a slot deep in a
+    /// silent streak arrives here only to be polled and re-arm the
+    /// countdown.
     fn drain_slot(
         slot: &mut AppSlot,
         scratch: &mut Vec<BeatSample>,
         idle_skip_limit: u32,
         drain_cap: usize,
-    ) -> Option<usize> {
+    ) -> usize {
         if idle_skip_limit > 0 && slot.silent_streak >= idle_skip_limit {
-            if slot.skip_countdown > 0 {
-                slot.skip_countdown -= 1;
-                return None;
-            }
             slot.skip_countdown = idle_skip_limit;
         }
         let cap = if drain_cap == 0 {
@@ -1107,7 +1043,7 @@ impl DaemonShard {
             slot.silent_streak = 0;
             slot.skip_countdown = 0;
         }
-        Some(drained)
+        drained
     }
 
     /// Amortized cold-path scratch maintenance: once per
@@ -1148,13 +1084,46 @@ impl DaemonShard {
     /// (or a poisoned latency stream overflowing the rate window) blames
     /// exactly one app — the cursor names the slot that was mid-step
     /// when the guard tripped — that app is
-    /// [quarantined](DaemonShard::quarantine_reason) and the sweep
+    /// [quarantined](PowerDialDaemon::quarantine_reason) and the sweep
     /// *resumes with its neighbor*, so every other app in the same
     /// quantum keeps being served; their decision sequences are
     /// bit-identical to a no-fault run, because the faulty slot's step
     /// shares no control state with its neighbors (the scratch buffers
     /// are refilled per slot).
     pub fn run_quantum(&mut self) -> u64 {
+        self.sweep(|control, _, samples, lat_scratch| {
+            control.process_drained_batched(samples, lat_scratch)
+        })
+    }
+
+    /// The per-beat reference run of the same sweep: identical drains
+    /// (idle-skip, drain cap), containment and publication as
+    /// [`DaemonShard::run_quantum`], but the decision kernel is the
+    /// per-beat oracle of [`naive`], so every beat steps the runtime
+    /// individually and `on_decision` sees every per-beat decision (tests
+    /// and diagnostics; the callback runs on the shard's thread). The
+    /// batched kernel is property-tested against this path.
+    pub fn run_quantum_with(
+        &mut self,
+        on_decision: &mut impl FnMut(AppId, IndexedDecision),
+    ) -> u64 {
+        self.sweep(|control, id, samples, _| control.process_drained(id, samples, on_decision))
+    }
+
+    /// The one guarded sweep behind both quantum entry points: drain each
+    /// live slot, run `kernel` on the drained beats, then publish to shm
+    /// and record telemetry — all under one `catch_unwind` per sweep, with
+    /// the blame cursor and quarantine described on
+    /// [`DaemonShard::run_quantum`].
+    fn sweep(
+        &mut self,
+        mut kernel: impl FnMut(
+            &mut ControlState,
+            AppId,
+            &[BeatSample],
+            &mut Vec<powerdial_heartbeats::TimestampDelta>,
+        ) -> Result<u64, WindowOverflow>,
+    ) -> u64 {
         let DaemonShard {
             apps,
             scratch,
@@ -1181,10 +1150,9 @@ impl DaemonShard {
                         idx += 1;
                         continue;
                     }
-                    // Idle-skip fast path — the `None` branch of
-                    // `drain_slot`, hoisted: pure slot-field arithmetic
-                    // that cannot panic, so a parked fleet pays no blame
-                    // bookkeeping at all.
+                    // Idle-skip fast path, ahead of `drain_slot`: pure
+                    // slot-field arithmetic that cannot panic, so a
+                    // parked fleet pays no blame bookkeeping at all.
                     if *idle_skip_limit > 0
                         && slot.silent_streak >= *idle_skip_limit
                         && slot.skip_countdown > 0
@@ -1202,29 +1170,26 @@ impl DaemonShard {
                         slot.panic_armed = false;
                         panic!("injected app panic (fault-injection hook)");
                     }
-                    if let Some(drained) =
-                        Self::drain_slot(slot, scratch, *idle_skip_limit, *drain_cap)
-                    {
-                        if drained > 0 {
-                            if let Some(telemetry) = &slot.telemetry {
-                                telemetry.prefetch();
-                            }
+                    let drained = Self::drain_slot(slot, scratch, *idle_skip_limit, *drain_cap);
+                    if drained > 0 {
+                        if let Some(telemetry) = &slot.telemetry {
+                            telemetry.prefetch();
                         }
-                        match slot.control.process_drained_batched(scratch, lat_scratch) {
-                            Ok(processed) => {
-                                Self::publish_shm(slot, processed);
-                                Self::record_telemetry(slot, scratch, trace, processed);
-                                peak = peak.max(drained);
-                                beats += processed;
-                            }
-                            Err(WindowOverflow) => {
-                                Self::quarantine_slot(
-                                    slot,
-                                    *safe_point,
-                                    trace,
-                                    QuarantineReason::WindowOverflow,
-                                );
-                            }
+                    }
+                    match kernel(&mut slot.control, slot.id, scratch, lat_scratch) {
+                        Ok(processed) => {
+                            Self::publish_shm(slot, processed);
+                            Self::record_telemetry(slot, scratch, trace, processed);
+                            peak = peak.max(drained);
+                            beats += processed;
+                        }
+                        Err(WindowOverflow) => {
+                            Self::quarantine_slot(
+                                slot,
+                                *safe_point,
+                                trace,
+                                QuarantineReason::WindowOverflow,
+                            );
                         }
                     }
                     idx += 1;
@@ -1270,8 +1235,8 @@ impl DaemonShard {
                 .filter(|sample| sample.tag.value() != 0)
                 .map(|sample| sample.latency.as_nanos()),
         );
-        let shared = &slot.control.shared;
-        let qos_loss = f64::from_bits(shared.qos_loss_bits.load(Ordering::Acquire));
+        let published = slot.control.shared.published();
+        let qos_loss = f64::from_bits(published.qos_loss_bits);
         let qos_ppm = if qos_loss.is_finite() && qos_loss > 0.0 {
             (qos_loss * QOS_PPM_SCALE) as u64
         } else {
@@ -1287,16 +1252,12 @@ impl DaemonShard {
         } else {
             TraceReason::Boundary
         };
-        trace.push(DecisionTraceRecord {
-            seq: 0,
-            timestamp: telemetry.last_beat,
-            app: slot.id.value(),
-            point_idx: shared.decision.load(Ordering::Acquire) as u32,
+        trace.push(trace_record(
+            slot.id,
+            telemetry.last_beat,
             reason,
-            gain: f64::from_bits(shared.gain_bits.load(Ordering::Acquire)),
-            achieved_speedup: f64::from_bits(shared.achieved_speedup_bits.load(Ordering::Acquire)),
-            qos_loss,
-        });
+            published,
+        ));
     }
 
     /// Clones this shard's telemetry (per-app histograms + trace) for a
@@ -1324,16 +1285,14 @@ impl DaemonShard {
     /// Re-publication of a processed quantum's decision through an shm
     /// app's segment (atomics only — the quantum loop stays
     /// allocation-free). No-op for in-heap channels or empty drains.
+    /// The words are re-read from the shared atomics the kernel just
+    /// stored — the ones [`DecisionView`] serves — so a decision seen via
+    /// shm is bit-identical to the in-process view by construction.
     fn publish_shm(slot: &AppSlot, processed: u64) {
         if processed > 0 {
             if let BeatSource::Shm(consumer) = &slot.consumer {
-                let shared = &slot.control.shared;
-                consumer.publish_decision(ShmDecision {
-                    point_idx: shared.decision.load(Ordering::Acquire) as u32,
-                    gain_bits: shared.gain_bits.load(Ordering::Acquire),
-                    achieved_speedup_bits: shared.achieved_speedup_bits.load(Ordering::Acquire),
-                    qos_loss_bits: shared.qos_loss_bits.load(Ordering::Acquire),
-                });
+                let published = slot.control.shared.published();
+                consumer.publish_decision(published);
                 // Keep the segment's warm-start block current so a
                 // successor daemon resumes from this actuation if we die
                 // after this store.
@@ -1349,95 +1308,13 @@ impl DaemonShard {
                     .map(|r| r.beats_per_second())
                     .unwrap_or(0.0);
                 consumer.publish_warm_state(ShmWarmState {
-                    point_idx: shared.decision.load(Ordering::Acquire) as u32,
+                    point_idx: published.point_idx,
                     speedup_bits: slot.control.runtime.controller().speedup().to_bits(),
                     observed_rate_bits: rate.to_bits(),
                     beat_in_quantum: u64::from(slot.control.runtime.beat_in_quantum()),
                 });
             }
         }
-    }
-
-    /// The per-beat reference path: identical drains (idle-skip, drain
-    /// cap) and identical decisions to [`DaemonShard::run_quantum`], but
-    /// every beat steps the runtime individually and `on_decision` sees
-    /// every per-beat decision (tests and diagnostics; the callback runs
-    /// on the shard's thread). The batched kernel is property-tested
-    /// against this path.
-    pub fn run_quantum_with(
-        &mut self,
-        on_decision: &mut impl FnMut(AppId, IndexedDecision),
-    ) -> u64 {
-        let DaemonShard {
-            apps,
-            scratch,
-            lat_scratch: _,
-            idle_skip_limit,
-            drain_cap,
-            trace,
-            safe_point,
-            in_flight,
-            ..
-        } = self;
-        let mut beats = 0;
-        let mut peak = 0usize;
-        for slot in apps.iter_mut() {
-            if slot.quarantined.is_some() {
-                continue;
-            }
-            *in_flight = Some(slot.id.value());
-            let step = catch_unwind(AssertUnwindSafe(
-                || -> Result<Option<(usize, u64)>, WindowOverflow> {
-                    if slot.panic_armed {
-                        slot.panic_armed = false;
-                        panic!("injected app panic (fault-injection hook)");
-                    }
-                    let Some(drained) =
-                        Self::drain_slot(slot, scratch, *idle_skip_limit, *drain_cap)
-                    else {
-                        return Ok(None);
-                    };
-                    if drained > 0 {
-                        if let Some(telemetry) = &slot.telemetry {
-                            telemetry.prefetch();
-                        }
-                    }
-                    let processed = slot
-                        .control
-                        .process_drained(slot.id, scratch, on_decision)?;
-                    // Cross-process apps read decisions back through the
-                    // segment's seqlock-protected decision block. Publish by
-                    // *re-reading* the bits `process_drained` just stored
-                    // into the shared atomics — the same words
-                    // `DecisionView` serves — so a decision seen via shm is
-                    // bit-identical to the in-process view by construction.
-                    Self::publish_shm(slot, processed);
-                    Self::record_telemetry(slot, scratch, trace, processed);
-                    Ok(Some((drained, processed)))
-                },
-            ));
-            *in_flight = None;
-            match step {
-                Ok(Ok(None)) => {}
-                Ok(Ok(Some((drained, processed)))) => {
-                    peak = peak.max(drained);
-                    beats += processed;
-                }
-                Ok(Err(WindowOverflow)) => {
-                    Self::quarantine_slot(
-                        slot,
-                        *safe_point,
-                        trace,
-                        QuarantineReason::WindowOverflow,
-                    );
-                }
-                Err(_panic) => {
-                    Self::quarantine_slot(slot, *safe_point, trace, QuarantineReason::Panic);
-                }
-            }
-        }
-        self.maintain_scratch(peak);
-        beats
     }
 
     /// The planned per-beat knob indices of `id`'s current quantum (empty
@@ -1616,16 +1493,7 @@ impl PowerDialDaemon {
         Ok(PowerDialDaemon {
             config,
             workers,
-            inline_shard: DaemonShard::with_telemetry(
-                config.idle_skip_limit,
-                config.drain_cap,
-                if config.telemetry {
-                    config.trace_capacity
-                } else {
-                    0
-                },
-            )
-            .with_safe_point(config.safe_point),
+            inline_shard: DaemonShard::from_config(&config),
             placements: HashMap::new(),
             next_id: 0,
             next_worker: 0,
@@ -1648,18 +1516,7 @@ impl PowerDialDaemon {
     fn spawn_worker(index: usize, config: &DaemonConfig) -> std::io::Result<Worker> {
         let (command_tx, command_rx) = mpsc::channel::<Command>();
         let (ack_tx, ack_rx) = mpsc::channel::<u64>();
-        let shard = Arc::new(Mutex::new(
-            DaemonShard::with_telemetry(
-                config.idle_skip_limit,
-                config.drain_cap,
-                if config.telemetry {
-                    config.trace_capacity
-                } else {
-                    0
-                },
-            )
-            .with_safe_point(config.safe_point),
-        ));
+        let shard = Arc::new(Mutex::new(DaemonShard::from_config(config)));
         let thread_shard = Arc::clone(&shard);
         let thread = std::thread::Builder::new()
             .name(format!("powerdial-shard-{index}"))
@@ -1802,17 +1659,7 @@ impl PowerDialDaemon {
         if matches!(probe.read_decision(), DecisionRead::Torn) {
             match warm {
                 Some(w) => {
-                    let speedup = table.speedup_of(PointIdx::new(w.point_idx));
-                    consumer.publish_decision(ShmDecision {
-                        point_idx: w.point_idx,
-                        gain_bits: speedup.to_bits(),
-                        achieved_speedup_bits: speedup.to_bits(),
-                        qos_loss_bits: table
-                            .point(PointIdx::new(w.point_idx))
-                            .qos_loss
-                            .value()
-                            .to_bits(),
-                    });
+                    consumer.publish_decision(table_decision(&table, PointIdx::new(w.point_idx)))
                 }
                 None => consumer.reset_decision(),
             }
@@ -1858,32 +1705,22 @@ impl PowerDialDaemon {
             }
         }
         let shared = Arc::new(AppShared::default());
-        let mut decisions = 0u64;
+        let mut control = ControlState {
+            runtime,
+            window: SlidingWindow::new(self.config.window_size),
+            shared: Arc::clone(&shared),
+            decisions: 0,
+            seed_rate,
+        };
         if let Some(d) = seed {
-            shared.gain_bits.store(d.gain_bits, Ordering::Release);
-            shared
-                .achieved_speedup_bits
-                .store(d.achieved_speedup_bits, Ordering::Release);
-            shared
-                .qos_loss_bits
-                .store(d.qos_loss_bits, Ordering::Release);
-            shared
-                .decision
-                .store((1u64 << 32) | u64::from(d.point_idx), Ordering::Release);
-            decisions = 1;
+            control.publish(d);
         }
         let id = AppId(self.next_id);
         self.next_id += 1;
         let slot = AppSlot {
             id,
             consumer,
-            control: ControlState {
-                runtime,
-                window: SlidingWindow::new(self.config.window_size),
-                shared: Arc::clone(&shared),
-                decisions,
-                seed_rate,
-            },
+            control,
             // Fresh slots always start with cleared idle-skip bookkeeping
             // — in particular an *adopted* segment must not inherit a
             // predecessor's skip streak, or its backlog of outage beats
@@ -2229,7 +2066,7 @@ impl PowerDialDaemon {
         if let Some(thread) = self.workers[index].thread.take() {
             let _ = thread.join();
         }
-        let placeholder = Arc::new(Mutex::new(DaemonShard::new()));
+        let placeholder = Arc::new(Mutex::new(DaemonShard::default()));
         let old_arc = std::mem::replace(&mut self.workers[index].shard, placeholder);
         let mut shard = match Arc::try_unwrap(old_arc) {
             // An injected `Crash` panics while holding the lock, so the
@@ -2284,14 +2121,9 @@ impl PowerDialDaemon {
         // migrated app (records materialize when the shard is recovered,
         // which is also the only point the façade can touch its trace).
         let incident = |reason: TraceReason, app: u64| DecisionTraceRecord {
-            seq: 0,
-            timestamp: Timestamp::from_nanos(0),
             app,
-            point_idx: 0,
             reason,
-            gain: 0.0,
-            achieved_speedup: 0.0,
-            qos_loss: 0.0,
+            ..DecisionTraceRecord::default()
         };
         shard
             .trace
@@ -2418,8 +2250,9 @@ impl PowerDialDaemon {
     }
 
     /// In inline mode (`workers: 0`), the daemon's single shard, for tests
-    /// and diagnostics that need to observe per-beat decisions via
-    /// [`DaemonShard::run_quantum_with`]. `None` in threaded mode.
+    /// and diagnostics that drive its sweep directly — with the batched
+    /// kernel ([`DaemonShard::run_quantum`]) or the per-beat oracle
+    /// ([`DaemonShard::run_quantum_with`]). `None` in threaded mode.
     ///
     /// Quanta run directly on the shard bypass the daemon's
     /// [`PowerDialDaemon::total_beats`]/[`PowerDialDaemon::ticks`]
@@ -2610,15 +2443,66 @@ pub mod naive {
     //! speedup denominator) and for equivalence tests — the control code
     //! itself is *shared* with the lock-free shard, so any divergence
     //! between the two is a channel bug, not a control bug.
+    //!
+    //! The per-beat decision walk (`ControlState::process_drained`) lives
+    //! here too: it is the oracle the batched kernel is checked against
+    //! (through [`super::DaemonShard::run_quantum_with`]) and the kernel
+    //! of the serial baseline.
 
     use super::{AppId, AppShared, ControlState, DaemonConfig};
     use crate::error::ControlError;
-    use crate::runtime::{PowerDialRuntime, RuntimeConfig};
+    use crate::runtime::{IndexedDecision, PowerDialRuntime, RuntimeConfig};
     use powerdial_heartbeats::channel::BeatSample;
     use powerdial_heartbeats::naive::MutexChannel;
-    use powerdial_heartbeats::{HeartbeatTag, SlidingWindow, Timestamp};
+    use powerdial_heartbeats::{HeartbeatTag, SlidingWindow, Timestamp, WindowOverflow};
     use powerdial_knobs::KnobTable;
     use std::sync::Arc;
+
+    #[deny(clippy::arithmetic_side_effects)]
+    impl ControlState {
+        /// Processes one batch of drained beats: for each beat, read the
+        /// current windowed rate, step the runtime (decide *before*
+        /// observing the beat's own latency — the same ordering as the
+        /// single-app serial loop, so decision sequences are beat-for-beat
+        /// identical), then fold the latency into the window. Publishes the
+        /// final decision of the batch to the shared atomics.
+        ///
+        /// # Errors
+        ///
+        /// A poisoned latency stream that overflows the window's summed
+        /// nanoseconds surfaces as [`WindowOverflow`]; nothing is published
+        /// for the batch and the caller quarantines the app.
+        pub(super) fn process_drained(
+            &mut self,
+            id: AppId,
+            samples: &[BeatSample],
+            on_decision: &mut impl FnMut(AppId, IndexedDecision),
+        ) -> Result<u64, WindowOverflow> {
+            if samples.is_empty() {
+                return Ok(0);
+            }
+            let mut last = None;
+            for sample in samples {
+                let observed = self
+                    .window
+                    .rate()?
+                    .map(|r| r.beats_per_second())
+                    .or(self.seed_rate);
+                let decision = self.runtime.on_heartbeat_idx(observed);
+                on_decision(id, decision);
+                // The first beat of a stream has no predecessor; its zero
+                // latency is a convention, not an observation (mirrors
+                // `HeartbeatMonitor::try_heartbeat`).
+                if sample.tag.value() != 0 {
+                    self.window.push(sample.latency);
+                }
+                last = Some(decision);
+            }
+            let decision = last.expect("non-empty batch");
+            self.publish_batch(decision, samples.len());
+            Ok(samples.len() as u64)
+        }
+    }
 
     /// The application-side handle of a [`SerialMutexDaemon`] registration:
     /// same surface as [`super::AppHandle`], but every beat takes the
@@ -2812,13 +2696,8 @@ mod tests {
         PowerDialDaemon::new(DaemonConfig {
             workers: 0,
             channel_capacity: 64,
-            window_size: 20,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap()
     }
@@ -2829,13 +2708,8 @@ mod tests {
             PowerDialDaemon::new(DaemonConfig {
                 workers: 0,
                 channel_capacity: 0,
-                window_size: 20,
                 inline_apps: 0,
-                idle_skip_limit: 0,
-                drain_cap: 0,
-                telemetry: true,
-                trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-                safe_point: 0,
+                ..DaemonConfig::default()
             }),
             Err(ControlError::ZeroChannelCapacity)
         ));
@@ -2845,16 +2719,11 @@ mod tests {
                 channel_capacity: 8,
                 window_size: 0,
                 inline_apps: 0,
-                idle_skip_limit: 0,
-                drain_cap: 0,
-                telemetry: true,
-                trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-                safe_point: 0,
+                ..DaemonConfig::default()
             }),
             Err(ControlError::ZeroWindowSize)
         ));
         assert!(DaemonConfig::default().workers >= 1);
-        assert_eq!(DaemonConfig::with_workers(3).workers, 3);
     }
 
     #[test]
@@ -2896,13 +2765,8 @@ mod tests {
         let mut threaded = PowerDialDaemon::new(DaemonConfig {
             workers: 2,
             channel_capacity: 64,
-            window_size: 20,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap();
         let mut inline = inline_daemon();
@@ -2957,11 +2821,7 @@ mod tests {
                 channel_capacity: 16,
                 window_size: 4,
                 inline_apps: 0,
-                idle_skip_limit: 0,
-                drain_cap: 0,
-                telemetry: true,
-                trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-                safe_point: 0,
+                ..DaemonConfig::default()
             })
             .unwrap();
             let mut a = daemon.register(runtime_config(), test_table()).unwrap();
@@ -2991,13 +2851,8 @@ mod tests {
         let mut serial = naive::SerialMutexDaemon::new(DaemonConfig {
             workers: 0,
             channel_capacity: 64,
-            window_size: 20,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap();
 
@@ -3136,13 +2991,9 @@ mod tests {
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
             workers: 0,
             channel_capacity: 64,
-            window_size: 20,
             inline_apps: 0,
             idle_skip_limit: limit,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap();
 
@@ -3188,6 +3039,101 @@ mod tests {
         assert_eq!(daemon.app_count(), 0);
     }
 
+    /// The packed decision word's sequence wraps at 2³²; the masked value
+    /// 0 reads as "no decision yet", so the encoder must skip it.
+    #[test]
+    fn decision_sequence_wraparound_keeps_latest_point_published() {
+        let shared = Arc::new(AppShared::default());
+        shared.decision.store(0xFFFF_FFFF << 32, Ordering::Release);
+        let mut control = ControlState {
+            runtime: PowerDialRuntime::new(runtime_config(), test_table()).unwrap(),
+            window: SlidingWindow::new(20),
+            shared: Arc::clone(&shared),
+            decisions: 0xFFFF_FFFF,
+            seed_rate: None,
+        };
+        // One quantum of 50 ms beats, replayed: the kernel reads only
+        // tags and latencies, never the timestamps.
+        let samples: Vec<BeatSample> = (1..=20)
+            .map(|beat| BeatSample {
+                tag: HeartbeatTag(beat),
+                timestamp: Timestamp::from_millis(beat * 50),
+                latency: powerdial_heartbeats::TimestampDelta::from_millis(50),
+            })
+            .collect();
+        let mut lat_scratch = Vec::new();
+        let mut last_seq = 0xFFFF_FFFF;
+        for _ in 0..2 {
+            let processed = control.process_drained_batched(&samples, &mut lat_scratch);
+            assert_eq!(processed.unwrap(), 20);
+            assert!(shared.latest_point().is_some(), "wraparound hid it");
+            let seq = shared.decision.load(Ordering::Acquire) >> 32;
+            assert_ne!(seq, last_seq, "the sequence must move on every publish");
+            last_seq = seq;
+        }
+    }
+
+    /// Feeds one 20-beat quantum of 50 ms-spaced beats to every app.
+    fn feed_quantum(apps: &mut [AppHandle], now: &mut Timestamp) {
+        for _ in 0..20 {
+            *now += powerdial_heartbeats::TimestampDelta::from_millis(50);
+            for app in apps.iter_mut() {
+                app.beat(*now).unwrap();
+            }
+        }
+    }
+
+    /// With telemetry off, no shard keeps histograms or a trace: not the
+    /// inline shard, not a worker shard, and not a worker respawned after
+    /// a crash. The telemetry-on twin proves each shard kind would report.
+    #[test]
+    fn telemetry_off_holds_on_inline_worker_and_respawned_shards() {
+        for telemetry in [true, false] {
+            let mut daemon = PowerDialDaemon::new(DaemonConfig {
+                workers: 1,
+                channel_capacity: 64,
+                inline_apps: 1,
+                telemetry,
+                ..DaemonConfig::default()
+            })
+            .unwrap();
+            // The first app lands on the inline shard, the second on the
+            // worker.
+            let mut apps: Vec<AppHandle> = (0..2)
+                .map(|_| daemon.register(runtime_config(), test_table()).unwrap())
+                .collect();
+            let mut now = Timestamp::ZERO;
+            feed_quantum(&mut apps, &mut now);
+            assert_eq!(daemon.tick(), 40);
+            assert!(daemon.inject_worker_panic(0));
+            assert_eq!(daemon.respawn_dead(), 1);
+            // A third app lands on the respawned worker.
+            apps.push(daemon.register(runtime_config(), test_table()).unwrap());
+            feed_quantum(&mut apps, &mut now);
+            assert_eq!(daemon.tick(), 60);
+
+            let snapshot = daemon.telemetry_snapshot();
+            if telemetry {
+                assert_eq!(snapshot.apps.len(), 3);
+                for app in &apps {
+                    assert!(
+                        snapshot.trace.iter().any(|r| r.app == app.id().value()
+                            && r.reason == TraceReason::Boundary),
+                        "app {} traced no decision",
+                        app.id().value()
+                    );
+                }
+                assert!(snapshot
+                    .trace
+                    .iter()
+                    .any(|r| r.reason == TraceReason::ShardDead));
+            } else {
+                assert_eq!(snapshot.apps.len(), 0, "telemetry off kept histograms");
+                assert_eq!(snapshot.trace.len(), 0, "telemetry off kept a trace");
+            }
+        }
+    }
+
     #[test]
     fn backpressure_surfaces_on_full_channel() {
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
@@ -3195,11 +3141,7 @@ mod tests {
             channel_capacity: 4,
             window_size: 4,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap();
         let mut app = daemon.register(runtime_config(), test_table()).unwrap();

@@ -101,13 +101,8 @@ fn per_quantum_drain_loop_does_not_allocate() {
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
             workers: 0, // inline: the drain loop runs on this thread
             channel_capacity: 64,
-            window_size: 20,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap();
         let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
@@ -155,13 +150,8 @@ fn per_quantum_shm_drain_loop_does_not_allocate() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 0, // inline: the drain loop runs on this thread
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
     let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
