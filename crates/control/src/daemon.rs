@@ -279,7 +279,7 @@ pub const TRACE_CAPACITY: usize = 256;
 /// state of the fault-containment machine — see the module docs).
 ///
 /// Readable lock-free from the app side via
-/// [`DecisionView::quarantine_reason`]/[`AppHandle::quarantine_reason`].
+/// [`DecisionView::quarantine_reason`] (an [`AppHandle`] derefs to its view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum QuarantineReason {
@@ -349,48 +349,17 @@ impl AppShared {
             qos_loss_bits: self.qos_loss_bits.load(Ordering::Acquire),
         }
     }
-
-    fn latest_point(&self) -> Option<PointIdx> {
-        let packed = self.decision.load(Ordering::Acquire);
-        if packed >> 32 == 0 {
-            None
-        } else {
-            Some(PointIdx::new(packed as u32))
-        }
-    }
-
-    fn latest_gain(&self) -> Option<f64> {
-        self.latest_point()
-            .map(|_| f64::from_bits(self.gain_bits.load(Ordering::Acquire)))
-    }
-
-    fn achieved_speedup(&self) -> Option<f64> {
-        self.latest_point()
-            .map(|_| f64::from_bits(self.achieved_speedup_bits.load(Ordering::Acquire)))
-    }
-
-    fn expected_qos_loss(&self) -> Option<f64> {
-        self.latest_point()
-            .map(|_| f64::from_bits(self.qos_loss_bits.load(Ordering::Acquire)))
-    }
-
-    fn beats_processed(&self) -> u64 {
-        self.beats_processed.load(Ordering::Acquire)
-    }
-
-    fn quarantine_reason(&self) -> Option<QuarantineReason> {
-        QuarantineReason::from_code(self.quarantined.load(Ordering::Acquire))
-    }
 }
 
 /// A read-only view of the daemon's latest control decision for one
-/// application.
+/// application: the one reader of the decision atomics.
 ///
-/// This is the decision-side half of an [`AppHandle`], separated so
-/// shm-registered applications ([`PowerDialDaemon::register_shm`]) — whose
-/// beat *producer* lives in another process — still expose the daemon's
-/// decisions to in-process observers (experiment drivers, benchmarks,
-/// equivalence tests). All reads are lock-free atomic loads.
+/// Every registration hands one out — [`AppHandle`] derefs to its view,
+/// and shm-registered applications ([`PowerDialDaemon::register_shm`]),
+/// whose beat *producer* lives in another process, get the view alone —
+/// so in-process observers (experiment drivers, benchmarks, equivalence
+/// tests) read decisions the same way for either transport. All reads
+/// are lock-free atomic loads.
 #[derive(Debug, Clone)]
 pub struct DecisionView {
     id: AppId,
@@ -406,59 +375,75 @@ impl DecisionView {
     /// Index (into the app's knob table) of the latest decided setting, or
     /// `None` before the daemon has processed any beat.
     pub fn latest_point(&self) -> Option<PointIdx> {
-        self.shared.latest_point()
+        let packed = self.shared.decision.load(Ordering::Acquire);
+        if packed >> 32 == 0 {
+            None
+        } else {
+            Some(PointIdx::new(packed as u32))
+        }
     }
 
     /// The latest decided knob gain (instantaneous speedup), or `None`
     /// before the first decision.
     pub fn latest_gain(&self) -> Option<f64> {
-        self.shared.latest_gain()
+        self.latest_point()
+            .map(|_| f64::from_bits(self.shared.gain_bits.load(Ordering::Acquire)))
     }
 
     /// The achieved (time-averaged) speedup of the most recent quantum the
     /// daemon planned for this app, or `None` before the first decision.
     pub fn achieved_speedup(&self) -> Option<f64> {
-        self.shared.achieved_speedup()
+        self.latest_point()
+            .map(|_| f64::from_bits(self.shared.achieved_speedup_bits.load(Ordering::Acquire)))
     }
 
     /// The expected QoS loss of the most recent planned quantum, or `None`
     /// before the first decision.
     pub fn expected_qos_loss(&self) -> Option<f64> {
-        self.shared.expected_qos_loss()
+        self.latest_point()
+            .map(|_| f64::from_bits(self.shared.qos_loss_bits.load(Ordering::Acquire)))
     }
 
     /// Total beats the daemon has processed for this application.
     pub fn beats_processed(&self) -> u64 {
-        self.shared.beats_processed()
+        self.shared.beats_processed.load(Ordering::Acquire)
     }
 
     /// Why this application was quarantined, or `None` while it is
     /// healthy. Once `Some`, the decision accessors serve the configured
     /// safe state and no further beats will ever be processed.
     pub fn quarantine_reason(&self) -> Option<QuarantineReason> {
-        self.shared.quarantine_reason()
+        QuarantineReason::from_code(self.shared.quarantined.load(Ordering::Acquire))
     }
 }
 
 /// The application side of a daemon registration: push beats in, read the
-/// latest control decision out. Both directions are lock-free.
+/// latest control decision out (through the [`DecisionView`] it derefs
+/// to). Both directions are lock-free.
 ///
 /// The handle is `Send` but not `Sync`/`Clone` — it owns the single
 /// producer half of the app's SPSC channel, so exactly one thread emits
 /// beats (move the handle to hand it off).
 #[derive(Debug)]
 pub struct AppHandle {
-    id: AppId,
+    view: DecisionView,
     producer: BeatProducer,
-    shared: Arc<AppShared>,
     next_tag: HeartbeatTag,
     last_timestamp: Option<Timestamp>,
+}
+
+impl std::ops::Deref for AppHandle {
+    type Target = DecisionView;
+
+    fn deref(&self) -> &DecisionView {
+        &self.view
+    }
 }
 
 impl AppHandle {
     /// The application's daemon-assigned identifier.
     pub fn id(&self) -> AppId {
-        self.id
+        self.view.id
     }
 
     /// Emits one heartbeat at `now`: builds the beat record (sequence tag
@@ -502,54 +487,15 @@ impl AppHandle {
         self.producer.try_push(sample)
     }
 
-    /// Index (into the app's knob table) of the latest decided setting, or
-    /// `None` before the daemon has processed any beat.
-    pub fn latest_point(&self) -> Option<PointIdx> {
-        self.shared.latest_point()
-    }
-
-    /// The latest decided knob gain (instantaneous speedup), or `None`
-    /// before the first decision.
-    pub fn latest_gain(&self) -> Option<f64> {
-        self.shared.latest_gain()
-    }
-
-    /// The achieved (time-averaged) speedup of the most recent quantum the
-    /// daemon planned for this app, or `None` before the first decision.
-    pub fn achieved_speedup(&self) -> Option<f64> {
-        self.shared.achieved_speedup()
-    }
-
-    /// The expected QoS loss of the most recent planned quantum, or `None`
-    /// before the first decision.
-    pub fn expected_qos_loss(&self) -> Option<f64> {
-        self.shared.expected_qos_loss()
-    }
-
-    /// Total beats the daemon has processed for this application.
-    pub fn beats_processed(&self) -> u64 {
-        self.shared.beats_processed()
-    }
-
     /// Beats rejected by the channel so far (backpressure).
     pub fn beats_rejected(&self) -> u64 {
         self.producer.rejected()
     }
 
-    /// Why this application was quarantined, or `None` while it is
-    /// healthy. A quarantined app's beats are never drained again; its
-    /// decision accessors serve the configured safe state.
-    pub fn quarantine_reason(&self) -> Option<QuarantineReason> {
-        self.shared.quarantine_reason()
-    }
-
     /// A standalone view of this app's decision state (what
     /// [`PowerDialDaemon::register_shm`] returns for cross-process apps).
     pub fn decision_view(&self) -> DecisionView {
-        DecisionView {
-            id: self.id,
-            shared: Arc::clone(&self.shared),
-        }
+        self.view.clone()
     }
 }
 
@@ -935,16 +881,11 @@ impl DaemonShard {
     /// Resets an app's idle-skip bookkeeping so the next quantum polls
     /// its transport unconditionally. Used by the reaper when a skipped
     /// slot's producer died with beats still pending — the countdown
-    /// must not delay draining (and thus reaping) the corpse. Returns
-    /// `false` when the shard does not own `id`.
-    fn wake(&mut self, id: AppId) -> bool {
-        match self.apps.iter_mut().find(|slot| slot.id == id) {
-            Some(slot) => {
-                slot.silent_streak = 0;
-                slot.skip_countdown = 0;
-                true
-            }
-            None => false,
+    /// must not delay draining (and thus reaping) the corpse.
+    fn wake(&mut self, id: AppId) {
+        if let Some(slot) = self.apps.iter_mut().find(|slot| slot.id == id) {
+            slot.silent_streak = 0;
+            slot.skip_countdown = 0;
         }
     }
 
@@ -961,11 +902,6 @@ impl DaemonShard {
             }
             None => false,
         }
-    }
-
-    /// True when this shard owns `id`.
-    fn contains(&self, id: AppId) -> bool {
-        self.apps.iter().any(|slot| slot.id == id)
     }
 
     /// Parks a faulty app: records the blame, publishes the configured
@@ -1335,20 +1271,20 @@ impl DaemonShard {
     }
 }
 
-/// Commands sent from the daemon façade to a worker thread. Every command
-/// except `Shutdown` is acknowledged on the worker's ack channel.
+/// Commands sent from the daemon façade to a worker thread. A command
+/// carries only work that must run *on the worker thread*: the quantum
+/// and the telemetry clone, which stay on the worker's core, and the
+/// thread's own death or shutdown. Bookkeeping — registering, evicting,
+/// waking or arming a slot — does not need the thread: the façade takes
+/// the shard lock between ticks instead (see
+/// [`PowerDialDaemon::with_shard`]). Every command except `Shutdown` is
+/// acknowledged on the worker's ack channel.
 enum Command {
-    Register(Box<AppSlot>),
-    Unregister(AppId),
-    /// Reset an app's idle-skip state so the next tick polls it.
-    Wake(AppId),
+    /// Run one quantum; the ack carries the beats processed.
+    Tick,
     /// Send the shard's telemetry back on the provided channel (the ack
     /// still follows, as for every command).
     Telemetry(mpsc::Sender<ShardTelemetry>),
-    Tick,
-    /// Arm the explicit fault-injection hook: `id`'s next processing step
-    /// panics inside the containment guard (test-only by convention).
-    ArmPanic(AppId),
     /// Panic the worker thread itself, simulating a shard death whose
     /// panic escaped containment (test-only by convention). Never
     /// acknowledged — the sender observes the death on the ack channel.
@@ -1362,17 +1298,19 @@ struct Worker {
     commands: mpsc::Sender<Command>,
     acks: mpsc::Receiver<u64>,
     thread: Option<JoinHandle<()>>,
-    /// The worker's shard. In steady state only the worker thread touches
-    /// it (one uncontended lock per command); the façade's clone exists so
-    /// that when the thread dies, [`PowerDialDaemon::respawn_dead`] can
-    /// recover the surviving apps' live state and migrate them onto a
-    /// fresh worker instead of orphaning them.
+    /// The worker's shard, locked by whichever side is working on it. The
+    /// thread holds the lock only while it runs a command, and the façade
+    /// waits for every ack, so between ticks the lock is free: the façade
+    /// takes it for bookkeeping (register, unregister, the reaper's wake,
+    /// fault injection) and, once the thread dies,
+    /// [`PowerDialDaemon::respawn_dead`] recovers the surviving apps'
+    /// live state through it and migrates them onto a fresh worker.
     shard: Arc<Mutex<DaemonShard>>,
     /// Set when a send or receive on the worker's channels fails — the
-    /// thread panicked and is gone. A dead worker is never commanded
-    /// again; its apps stay parked on the dead shard until
-    /// [`PowerDialDaemon::respawn_dead`] migrates them, and the rest of
-    /// the daemon keeps going.
+    /// thread panicked and is gone. A dead worker is never commanded or
+    /// locked for bookkeeping again; its apps stay parked on the dead
+    /// shard until [`PowerDialDaemon::respawn_dead`] migrates them, and
+    /// the rest of the daemon keeps going.
     dead: bool,
     /// Applications currently placed on this worker. Workers with zero
     /// apps are not ticked (no cross-thread round trip for empty shards).
@@ -1441,7 +1379,7 @@ pub struct PowerDialDaemon {
     /// Reused buffer for the reaper's wake pass (dead producer, beats
     /// still pending, slot possibly idle-skipped): `(app, worker)` pairs
     /// whose skip state must be cleared so the next tick drains them.
-    wake_scratch: Vec<(AppId, usize)>,
+    wake_scratch: Vec<(AppId, Option<usize>)>,
     /// Worker threads found dead so far (lifetime count; monotonic).
     shard_deaths: u64,
     /// Dead workers respawned by [`PowerDialDaemon::respawn_dead`].
@@ -1455,14 +1393,14 @@ pub struct PowerDialDaemon {
 /// can check peer liveness without a round-trip to the owning worker.
 #[derive(Debug)]
 struct Placement {
-    /// Owning worker index (`usize::MAX` = inline shard).
-    worker: usize,
+    /// Owning worker index (`None` = inline shard).
+    worker: Option<usize>,
     /// Segment probe for shm-backed apps; `None` for in-heap channels.
     probe: Option<ShmPeerProbe>,
-    /// The app's shared decision state, mirrored here so the façade can
-    /// observe quarantine without a round-trip to the owning worker (the
-    /// reaper and the incident counters both read it).
-    shared: Arc<AppShared>,
+    /// The app's decision view, kept here so the façade can observe
+    /// quarantine without touching the owning shard (the reaper and the
+    /// incident counters both read it).
+    view: DecisionView,
 }
 
 impl std::fmt::Debug for PowerDialDaemon {
@@ -1550,7 +1488,7 @@ impl PowerDialDaemon {
         table: KnobTable,
     ) -> Result<AppHandle, ControlError> {
         let (producer, consumer) = beat_channel(self.config.channel_capacity);
-        let (id, shared) = self.register_source(
+        let view = self.register_source(
             config,
             table,
             BeatSource::Channel(consumer),
@@ -1559,9 +1497,8 @@ impl PowerDialDaemon {
             None,
         )?;
         Ok(AppHandle {
-            id,
+            view,
             producer,
-            shared,
             next_tag: HeartbeatTag::default(),
             last_timestamp: None,
         })
@@ -1590,15 +1527,14 @@ impl PowerDialDaemon {
         consumer: ShmConsumer,
     ) -> Result<DecisionView, ControlError> {
         let probe = consumer.probe();
-        let (id, shared) = self.register_source(
+        self.register_source(
             config,
             table,
             BeatSource::Shm(consumer),
             Some(probe),
             None,
             None,
-        )?;
-        Ok(DecisionView { id, shared })
+        )
     }
 
     /// Registers an application by *adopting* a shared-memory segment left
@@ -1668,21 +1604,23 @@ impl PowerDialDaemon {
             DecisionRead::Ready(d) if (d.point_idx as usize) < table.len() => Some(d),
             _ => None,
         };
-        let (id, shared) = self.register_source(
+        self.register_source(
             config,
             table,
             BeatSource::Shm(consumer),
             Some(probe),
             warm,
             seed,
-        )?;
-        Ok(DecisionView { id, shared })
+        )
     }
 
     /// Shared registration path for both transports. `warm` restores the
     /// controller's integrator and primes the first quantum's observed rate
     /// (adoption path); `seed` pre-publishes a predecessor's decision into
-    /// the shared state so observers see it before the first quantum.
+    /// the shared state so observers see it before the first quantum. The
+    /// slot is pushed straight onto its shard (the inline one, or a live
+    /// worker's between ticks), so a registration can never be lost in
+    /// flight.
     fn register_source(
         &mut self,
         config: RuntimeConfig,
@@ -1691,7 +1629,7 @@ impl PowerDialDaemon {
         probe: Option<ShmPeerProbe>,
         warm: Option<ShmWarmState>,
         seed: Option<ShmDecision>,
-    ) -> Result<(AppId, Arc<AppShared>), ControlError> {
+    ) -> Result<DecisionView, ControlError> {
         let mut runtime = PowerDialRuntime::new(config, table)?;
         let mut seed_rate = None;
         if let Some(w) = warm {
@@ -1734,47 +1672,22 @@ impl PowerDialDaemon {
             quarantined: None,
             panic_armed: false,
         };
-        let worker = match self.pick_worker() {
-            None => {
-                self.inline_shard.push_slot(slot);
-                usize::MAX
-            }
-            Some(index) => {
-                match self.workers[index]
-                    .commands
-                    .send(Command::Register(Box::new(slot)))
-                {
-                    Err(mpsc::SendError(Command::Register(slot))) => {
-                        // The worker died between the liveness check and the
-                        // send: the slot came back, fall back to inline.
-                        self.mark_dead(index);
-                        self.inline_shard.push_slot(*slot);
-                        usize::MAX
-                    }
-                    Err(_) => unreachable!("a failed send returns the sent command"),
-                    Ok(()) => {
-                        if self.workers[index].acks.recv().is_err() {
-                            // Died holding the slot; the app stays parked
-                            // on the dead shard until `respawn_dead`
-                            // migrates it (same degraded contract as a
-                            // death mid-quantum).
-                            self.mark_dead(index);
-                        }
-                        self.workers[index].apps += 1;
-                        index
-                    }
-                }
-            }
-        };
+        let worker = self.pick_worker();
+        self.with_shard(worker, |shard| shard.push_slot(slot))
+            .expect("pick_worker places apps on live shards only");
+        if let Some(index) = worker {
+            self.workers[index].apps += 1;
+        }
+        let view = DecisionView { id, shared };
         self.placements.insert(
             id.0,
             Placement {
                 worker,
                 probe,
-                shared: Arc::clone(&shared),
+                view: view.clone(),
             },
         );
-        Ok((id, shared))
+        Ok(view)
     }
 
     /// Records a worker-death transition exactly once (idempotent), so
@@ -1812,19 +1725,14 @@ impl PowerDialDaemon {
     /// dropped. Returns `false` if `id` was never registered or already
     /// removed.
     pub fn unregister(&mut self, id: AppId) -> bool {
-        match self.placements.remove(&id.0) {
-            Some(Placement {
-                worker: usize::MAX, ..
-            }) => self.inline_shard.remove(id),
-            Some(Placement { worker, .. }) => {
-                let removed = self.command(worker, Command::Unregister(id)) == Some(1);
-                if removed {
-                    self.workers[worker].apps -= 1;
-                }
-                removed
-            }
-            None => false,
+        let Some(Placement { worker, .. }) = self.placements.remove(&id.0) else {
+            return false;
+        };
+        let removed = self.with_shard(worker, |shard| shard.remove(id)) == Some(true);
+        if let (true, Some(index)) = (removed, worker) {
+            self.workers[index].apps -= 1;
         }
+        removed
     }
 
     /// Reaps abandoned shared-memory applications: every shm-registered
@@ -1860,7 +1768,7 @@ impl PowerDialDaemon {
                     // waiting for `pending() == 0` would park the corpse
                     // forever: its backlog is forfeit, reap immediately
                     // (freeing the slot — and the segment — for reuse).
-                    if probe.pending() == 0 || placement.shared.quarantine_reason().is_some() {
+                    if probe.pending() == 0 || placement.view.quarantine_reason().is_some() {
                         self.reap_scratch.push(AppId(*id));
                     } else {
                         // The producer died with beats still in the ring.
@@ -1875,11 +1783,7 @@ impl PowerDialDaemon {
         }
         for index in 0..self.wake_scratch.len() {
             let (id, worker) = self.wake_scratch[index];
-            if worker == usize::MAX {
-                self.inline_shard.wake(id);
-            } else {
-                self.command(worker, Command::Wake(id));
-            }
+            self.with_shard(worker, |shard| shard.wake(id));
         }
         if self.reap_scratch.is_empty() {
             return Vec::new();
@@ -2100,9 +2004,10 @@ impl PowerDialDaemon {
                 }
             }
         }
-        // Reconcile both directions. Apps unregistered while the worker
-        // was dead lost their placement but kept their slot: evict them
-        // now (resetting their segments, as a live unregister would).
+        // Reconcile against the placements: apps unregistered while the
+        // worker was dead lost their placement but kept their slot, so
+        // evict them now (resetting their segments, as a live unregister
+        // would).
         let stale: Vec<AppId> = shard
             .apps
             .iter()
@@ -2112,11 +2017,6 @@ impl PowerDialDaemon {
         for id in stale {
             shard.remove(id);
         }
-        // Apps registered toward the dead worker whose `Register` command
-        // died in the channel never reached the shard: their slot (and
-        // channel) is gone, so the registration is void.
-        self.placements
-            .retain(|id, placement| placement.worker != index || shard.contains(AppId(*id)));
         // Incident trace: the death, the respawn, and one record per
         // migrated app (records materialize when the shard is recovered,
         // which is also the only point the façade can touch its trace).
@@ -2164,7 +2064,7 @@ impl PowerDialDaemon {
                 }
                 for slot in shard.apps.drain(..) {
                     if let Some(placement) = self.placements.get_mut(&slot.id.value()) {
-                        placement.worker = usize::MAX;
+                        placement.worker = None;
                     }
                     self.inline_shard
                         .trace
@@ -2183,11 +2083,10 @@ impl PowerDialDaemon {
     /// guard. Returns `false` for an unknown app or one parked on a dead
     /// shard.
     pub fn inject_app_panic(&mut self, id: AppId) -> bool {
-        match self.placements.get(&id.0).map(|placement| placement.worker) {
-            None => false,
-            Some(usize::MAX) => self.inline_shard.arm_panic(id),
-            Some(worker) => self.command(worker, Command::ArmPanic(id)) == Some(1),
-        }
+        let Some(worker) = self.placements.get(&id.0).map(|placement| placement.worker) else {
+            return false;
+        };
+        self.with_shard(worker, |shard| shard.arm_panic(id)) == Some(true)
     }
 
     /// Fault-injection hook (test-only by convention): kills worker
@@ -2210,14 +2109,14 @@ impl PowerDialDaemon {
     pub fn quarantine_reason(&self, id: AppId) -> Option<QuarantineReason> {
         self.placements
             .get(&id.0)
-            .and_then(|placement| placement.shared.quarantine_reason())
+            .and_then(|placement| placement.view.quarantine_reason())
     }
 
     /// Number of currently quarantined (parked but not yet evicted) apps.
     pub fn quarantined_apps(&self) -> usize {
         self.placements
             .values()
-            .filter(|placement| placement.shared.quarantine_reason().is_some())
+            .filter(|placement| placement.view.quarantine_reason().is_some())
             .count()
     }
 
@@ -2265,6 +2164,32 @@ impl PowerDialDaemon {
         }
     }
 
+    /// Runs `f` on the shard that owns `worker`'s apps: the inline shard
+    /// for `None`, otherwise the worker's shard under its lock. The one
+    /// way the façade reaches a shard for bookkeeping. Called only
+    /// between ticks, when every live worker is parked on its command
+    /// channel with the lock released, so the lock is uncontended and `f`
+    /// never races a quantum. `None` for a dead worker: its shard is left
+    /// for [`PowerDialDaemon::respawn_dead`] to recover.
+    fn with_shard<R>(
+        &mut self,
+        worker: Option<usize>,
+        f: impl FnOnce(&mut DaemonShard) -> R,
+    ) -> Option<R> {
+        let Some(index) = worker else {
+            return Some(f(&mut self.inline_shard));
+        };
+        let worker = &self.workers[index];
+        if worker.dead {
+            return None;
+        }
+        let mut shard = worker
+            .shard
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        Some(f(&mut shard))
+    }
+
     /// Sends a command to a worker and waits for its acknowledgement.
     /// `None` when the worker is (or is discovered to be) dead — the
     /// command had no effect.
@@ -2300,30 +2225,27 @@ impl Drop for PowerDialDaemon {
     }
 }
 
-/// Worker thread body: obey commands against the shared shard (one
-/// uncontended lock per command — the façade only contends for it during
-/// post-mortem recovery, when this thread is already gone), acknowledging
-/// each one.
+/// Worker thread body: run each command against the shared shard and
+/// acknowledge it. Only work that must run on this thread arrives here
+/// (the quantum, the telemetry clone, an injected crash); the façade does
+/// its bookkeeping under the same lock between ticks, while this loop
+/// waits for the next command with the lock released.
 fn worker_main(
     shard: Arc<Mutex<DaemonShard>>,
     commands: mpsc::Receiver<Command>,
     acks: mpsc::Sender<u64>,
 ) {
     while let Ok(command) = commands.recv() {
-        // A poisoned mutex here would mean a previous command's panic
-        // escaped — unreachable today (the quantum loop contains panics
-        // and a `Crash` kills the thread for good), but recovering the
-        // guard is the conservative choice either way.
+        // A poisoned mutex here would mean a panic escaped a previous
+        // holder (a command, or the façade's bookkeeping) — unreachable
+        // today (the quantum loop contains panics and a `Crash` kills
+        // the thread for good), but recovering the guard is the
+        // conservative choice either way.
         let mut guard = shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let ack = match command {
-            Command::Register(slot) => {
-                guard.push_slot(*slot);
-                0
-            }
-            Command::Unregister(id) => u64::from(guard.remove(id)),
-            Command::Wake(id) => u64::from(guard.wake(id)),
+            Command::Tick => guard.run_quantum(),
             Command::Telemetry(reply) => {
                 // A dropped receiver just means the façade gave up on
                 // the snapshot; the ack below keeps the protocol in
@@ -2331,8 +2253,6 @@ fn worker_main(
                 let _ = reply.send(guard.telemetry());
                 0
             }
-            Command::Tick => guard.run_quantum(),
-            Command::ArmPanic(id) => u64::from(guard.arm_panic(id)),
             // Deliberately panics while *holding the lock*: the façade's
             // resurrection path must cope with a poisoned shard mutex,
             // the worst-case a real escaped panic would leave behind.
@@ -2449,7 +2369,7 @@ pub mod naive {
     //! (through [`super::DaemonShard::run_quantum_with`]) and the kernel
     //! of the serial baseline.
 
-    use super::{AppId, AppShared, ControlState, DaemonConfig};
+    use super::{AppId, AppShared, ControlState, DaemonConfig, DecisionView};
     use crate::error::ControlError;
     use crate::runtime::{IndexedDecision, PowerDialRuntime, RuntimeConfig};
     use powerdial_heartbeats::channel::BeatSample;
@@ -2505,23 +2425,25 @@ pub mod naive {
     }
 
     /// The application-side handle of a [`SerialMutexDaemon`] registration:
-    /// same surface as [`super::AppHandle`], but every beat takes the
-    /// channel mutex.
+    /// same surface as [`super::AppHandle`] (it derefs to the same
+    /// [`DecisionView`]), but every beat takes the channel mutex.
     #[derive(Debug, Clone)]
     pub struct NaiveAppHandle {
-        id: AppId,
+        view: DecisionView,
         channel: MutexChannel<BeatSample>,
-        shared: Arc<AppShared>,
         next_tag: HeartbeatTag,
         last_timestamp: Option<Timestamp>,
     }
 
-    impl NaiveAppHandle {
-        /// The application's daemon-assigned identifier.
-        pub fn id(&self) -> AppId {
-            self.id
-        }
+    impl std::ops::Deref for NaiveAppHandle {
+        type Target = DecisionView;
 
+        fn deref(&self) -> &DecisionView {
+            &self.view
+        }
+    }
+
+    impl NaiveAppHandle {
         /// Emits one heartbeat at `now` (locks the channel mutex).
         ///
         /// # Errors
@@ -2540,17 +2462,6 @@ pub mod naive {
             self.next_tag = self.next_tag.next();
             self.last_timestamp = Some(now);
             self.channel.try_push(sample)
-        }
-
-        /// The latest decided knob gain, or `None` before the first
-        /// decision.
-        pub fn latest_gain(&self) -> Option<f64> {
-            self.shared.latest_gain()
-        }
-
-        /// Total beats the daemon has processed for this application.
-        pub fn beats_processed(&self) -> u64 {
-            self.shared.beats_processed()
         }
     }
 
@@ -2619,9 +2530,8 @@ pub mod naive {
                 },
             });
             Ok(NaiveAppHandle {
-                id,
+                view: DecisionView { id, shared },
                 channel,
-                shared,
                 next_tag: HeartbeatTag::default(),
                 last_timestamp: None,
             })
@@ -2981,15 +2891,23 @@ mod tests {
     /// (the skipped drains never touched the transport), postponing the
     /// reap by the same amount. `reap_dead` now probes liveness
     /// independently of skip state and wakes the slot, so the next
-    /// tick+reap round collects the corpse.
+    /// tick+reap round collects the corpse — whether the slot sits on the
+    /// inline shard or on a worker's.
     #[test]
     fn killed_producer_behind_idle_skipped_slot_is_reaped_promptly() {
+        assert_idle_skipped_corpse_reaped_promptly(0);
+        assert_idle_skipped_corpse_reaped_promptly(1);
+    }
+
+    /// The reaper regression above with the app placed on the inline shard
+    /// (`workers: 0`) or on worker 0 (`workers: 1`, `inline_apps: 0`).
+    fn assert_idle_skipped_corpse_reaped_promptly(workers: usize) {
         use powerdial_heartbeats::shm::{Segment, SegmentGeometry, ShmConsumer, ShmProducer};
         use std::sync::atomic::Ordering;
 
         let limit = 8u32;
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
-            workers: 0,
+            workers,
             channel_capacity: 64,
             inline_apps: 0,
             idle_skip_limit: limit,
@@ -3043,12 +2961,19 @@ mod tests {
     /// 0 reads as "no decision yet", so the encoder must skip it.
     #[test]
     fn decision_sequence_wraparound_keeps_latest_point_published() {
-        let shared = Arc::new(AppShared::default());
-        shared.decision.store(0xFFFF_FFFF << 32, Ordering::Release);
+        // Read back through the app's decision view, as an observer would.
+        let shared = DecisionView {
+            id: AppId(0),
+            shared: Arc::new(AppShared::default()),
+        };
+        shared
+            .shared
+            .decision
+            .store(0xFFFF_FFFF << 32, Ordering::Release);
         let mut control = ControlState {
             runtime: PowerDialRuntime::new(runtime_config(), test_table()).unwrap(),
             window: SlidingWindow::new(20),
-            shared: Arc::clone(&shared),
+            shared: Arc::clone(&shared.shared),
             decisions: 0xFFFF_FFFF,
             seed_rate: None,
         };
@@ -3067,7 +2992,7 @@ mod tests {
             let processed = control.process_drained_batched(&samples, &mut lat_scratch);
             assert_eq!(processed.unwrap(), 20);
             assert!(shared.latest_point().is_some(), "wraparound hid it");
-            let seq = shared.decision.load(Ordering::Acquire) >> 32;
+            let seq = shared.shared.decision.load(Ordering::Acquire) >> 32;
             assert_ne!(seq, last_seq, "the sequence must move on every publish");
             last_seq = seq;
         }

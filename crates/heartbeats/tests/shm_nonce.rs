@@ -16,6 +16,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use powerdial_heartbeats::shm::process::{fork_child, ChildExit};
 use powerdial_heartbeats::shm::{
@@ -44,8 +45,13 @@ fn live_forked_producer_reads_alive_then_dead_after_kill() {
     })
     .unwrap();
 
-    // Wait for the child's claim, then check the nonce went with it.
-    while segment.header().producer_pid.load(Ordering::Acquire) == 0 {
+    // Wait for the child's claim and for the nonce it records after the
+    // PID (a `/proc` read later), under a deadline: a claim that never
+    // records a nonce fails the assertion below instead of spinning
+    // forever.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while segment.header().producer_nonce.load(Ordering::Acquire) == 0 && Instant::now() < deadline
+    {
         std::hint::spin_loop();
     }
     assert_eq!(consumer.producer_state(), PeerState::Alive(child.pid()));
